@@ -38,10 +38,12 @@ distwsvet:
 # keeps the stress budgets CI-sized. The sharded kernel and the sharded
 # engine tests (window barrier, staging queues, crash-during-window)
 # run under the detector in full: the parallel windows are the one
-# place simulated concurrency meets host concurrency.
+# place simulated concurrency meets host concurrency. The victim pass
+# covers the selector state the shards share, such as lazy table builds.
 race:
 	$(GO) test -race -short ./internal/deque ./internal/rt ./internal/sim/par
 	$(GO) test -race -run 'Sharded' -count=1 ./internal/core
+	$(GO) test -race -run 'ConcurrentShards' -count=1 ./internal/victim
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -105,9 +107,9 @@ chaos-smoke:
 # for archiving and cross-commit comparison. BENCHTIME=1x gives the
 # CI smoke variant below; default is a real measurement.
 BENCHTIME ?= 1s
-BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/topology ./internal/uts ./internal/fault ./internal/obs/parprof ./internal/serve .
-BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals
-BENCH_REQUIRE = KernelHotPath,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,LatencyLookup,UTSChildGen,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals
+BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/topology ./internal/uts ./internal/fault ./internal/obs/parprof ./internal/serve ./internal/victim .
+BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals|BenchmarkDistanceSkewedNext
+BENCH_REQUIRE = KernelHotPath,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,LatencyLookup,UTSChildGen,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals,DistanceSkewedNext
 BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem \
 	-benchtime $(BENCHTIME) $(BENCH_PKGS)
 

@@ -124,6 +124,23 @@ func (j *Job) Distance(i, k int) float64 {
 	return Euclid(j.coord[i], j.coord[k])
 }
 
+// SqDist returns the squared Distance between ranks i and k, an
+// integer: Distance(i, k) == math.Sqrt(float64(SqDist(i, k))) exactly.
+func (j *Job) SqDist(i, k int) int {
+	return sqDist(j.coord[i], j.coord[k])
+}
+
+// MaxSqDist bounds SqDist over every rank pair from above: it is the
+// squared diagonal of the bounding box of the ranks' coordinates.
+func (j *Job) MaxSqDist() int {
+	lo, hi := j.coord[0], j.coord[0]
+	for _, c := range j.coord[1:] {
+		lo = Coord{min(lo.X, c.X), min(lo.Y, c.Y), min(lo.Z, c.Z), min(lo.A, c.A), min(lo.B, c.B), min(lo.C, c.C)}
+		hi = Coord{max(hi.X, c.X), max(hi.Y, c.Y), max(hi.Z, c.Z), max(hi.A, c.A), max(hi.B, c.B), max(hi.C, c.C)}
+	}
+	return sqDist(lo, hi)
+}
+
 // Hops returns the link count between the nodes hosting ranks i and k.
 func (j *Job) Hops(i, k int) int {
 	return j.Alloc.Machine.Hops(j.coord[i], j.coord[k])

@@ -314,6 +314,31 @@ func TestJobDistanceSymmetryAndIdentity(t *testing.T) {
 	}
 }
 
+// TestSqDistExact checks that the integer squared distance gives the
+// float Euclidean distance exactly, and that MaxSqDist bounds it, on a
+// multi-rack job under every placement.
+func TestSqDistExact(t *testing.T) {
+	for _, p := range []Placement{OnePerNode, EightGrouped, EightRoundRobin} {
+		job, err := NewJob(KComputer(), 2048, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, seen := job.MaxSqDist(), 0
+		for i := 0; i < job.Ranks(); i += 7 {
+			for k := 0; k < job.Ranks(); k++ {
+				sq := job.SqDist(i, k)
+				if job.Distance(i, k) != math.Sqrt(float64(sq)) {
+					t.Fatalf("%v (%d,%d): Distance %v, sqrt(SqDist) %v", p, i, k, job.Distance(i, k), math.Sqrt(float64(sq)))
+				}
+				seen = max(seen, sq)
+			}
+		}
+		if seen > bound || bound > 2*seen {
+			t.Fatalf("%v: MaxSqDist %d, largest SqDist seen %d", p, bound, seen)
+		}
+	}
+}
+
 // Property: triangle inequality holds for Euclid over arbitrary coords.
 func TestPropertyEuclidTriangle(t *testing.T) {
 	f := func(ax, ay, az, bx, by, bz, cx, cy, cz int8) bool {

@@ -17,8 +17,9 @@
 // LastVictim, Hierarchical and Lifeline — see their constructors.
 //
 // Selectors are stateful per job: they hold per-rank walk positions,
-// PRNG streams and sampling tables. They are not safe for concurrent
-// use; the discrete-event simulator is single-threaded per run.
+// PRNG streams and sampling tables, all indexed by thief. Next and
+// Observe may run concurrently for distinct thieves, as the sharded
+// engine's shard goroutines call them, but never for the same thief.
 package victim
 
 import (
@@ -87,7 +88,7 @@ func (r *roundRobin) Observe(int, int, bool) {}
 
 type uniformRandom struct {
 	n    int
-	rand []*rng.Xoshiro256
+	rand []rng.Xoshiro256
 }
 
 // NewUniformRandom returns the classical selector: each attempt draws a
@@ -98,10 +99,12 @@ func NewUniformRandom(job *topology.Job, seed uint64) Selector {
 	return u
 }
 
-func perRankStreams(n int, seed uint64) []*rng.Xoshiro256 {
-	streams := make([]*rng.Xoshiro256, n)
+// perRankStreams returns one independent generator per rank, held by
+// value in one allocation.
+func perRankStreams(n int, seed uint64) []rng.Xoshiro256 {
+	streams := make([]rng.Xoshiro256, n)
 	for i := range streams {
-		streams[i] = rng.New(rng.Mix64(seed) ^ rng.Mix64(uint64(i)+0x51ed270693c5e191))
+		streams[i].Seed(rng.Mix64(seed) ^ rng.Mix64(uint64(i)+0x51ed270693c5e191))
 	}
 	return streams
 }
@@ -125,20 +128,23 @@ func (u *uniformRandom) Observe(int, int, bool) {}
 // DistanceSkewed ("Tofu")
 
 // aliasThreshold is the rank count up to which per-thief alias tables
-// are built (lazily). Above it the selector uses exact rejection
-// sampling instead: with N ranks each table costs O(N) memory per
-// thief, which at 8192 simulated ranks in one address space would need
-// gigabytes, whereas the real distributed implementation pays O(N) per
-// process. Both methods sample the same distribution.
-const aliasThreshold = 2048
+// are built, lazily on each thief's first Next. A table costs 8 B per
+// rank, so 16 KiB per thief and 32 MiB for all thieves at 2048 ranks:
+// one simulated address space pays O(N^2) where the real distributed
+// implementation pays O(N) per process. Above it the selector uses
+// exact rejection sampling instead, which needs no table and samples
+// the same distribution; sample.MaxOutcomes caps the table size anyway.
+const aliasThreshold = sample.MaxOutcomes
 
 type distanceSkewed struct {
 	job      *topology.Job
 	n        int
 	exponent float64
-	rand     []*rng.Xoshiro256
-	tables   []*sample.Discrete // lazily built, nil above aliasThreshold
-	useAlias bool
+	rand     []rng.Xoshiro256
+	// weightOf[sq] is w at squared distance sq; every weight the
+	// selector uses, sampled or reported, is read from it.
+	weightOf []float64
+	tables   []sample.Discrete // lazily built; nil above aliasThreshold
 }
 
 // NewDistanceSkewed returns the paper's latency-aware selector with the
@@ -152,14 +158,22 @@ func NewDistanceSkewed(job *topology.Job, seed uint64) Selector {
 // larger k concentrates steals more locally.
 func NewDistanceSkewedExp(job *topology.Job, seed uint64, k float64) Selector {
 	n := job.Ranks()
-	return &distanceSkewed{
+	d := &distanceSkewed{
 		job:      job,
 		n:        n,
 		exponent: k,
 		rand:     perRankStreams(n, seed),
-		tables:   make([]*sample.Discrete, n),
-		useAlias: n <= aliasThreshold,
+		weightOf: make([]float64, job.MaxSqDist()+1),
 	}
+	// w = 1/e^k per the paper, or 1 at distance 0 (same node).
+	d.weightOf[0] = 1
+	for sq := 1; sq < len(d.weightOf); sq++ {
+		d.weightOf[sq] = 1 / math.Pow(math.Sqrt(float64(sq)), k)
+	}
+	if n <= aliasThreshold {
+		d.tables = make([]sample.Discrete, n)
+	}
+	return d
 }
 
 func (d *distanceSkewed) Name() string {
@@ -171,22 +185,23 @@ func (d *distanceSkewed) Name() string {
 
 // weight returns w(thief, j) per the paper: 1/e^k, or 1 at distance 0.
 func (d *distanceSkewed) weight(thief, j int) float64 {
-	e := d.job.Distance(thief, j)
-	if e == 0 {
-		return 1
+	return d.weightOf[d.job.SqDist(thief, j)]
+}
+
+// fillWeights writes the thief's unnormalized weight vector into w,
+// with weight 0 at the thief's own index.
+func (d *distanceSkewed) fillWeights(thief int, w []float64) {
+	for j := range w {
+		w[j] = d.weight(thief, j)
 	}
-	return 1 / math.Pow(e, d.exponent)
+	w[thief] = 0
 }
 
 // Weights returns the unnormalized weight vector for a thief, with
 // weight 0 at the thief's own index. Used for Figure 8 and by tests.
 func (d *distanceSkewed) Weights(thief int) []float64 {
 	w := make([]float64, d.n)
-	for j := range w {
-		if j != thief {
-			w[j] = d.weight(thief, j)
-		}
-	}
+	d.fillWeights(thief, w)
 	return w
 }
 
@@ -204,22 +219,32 @@ func (d *distanceSkewed) PDF(thief int) []float64 {
 	return w
 }
 
+// table returns the thief's alias table, building it on first use.
+// The weight vector lives on this goroutine's stack, so concurrent
+// shards share no scratch and a build allocates only the table.
+func (d *distanceSkewed) table(thief int) sample.Discrete {
+	if t := d.tables[thief]; t.N() != 0 {
+		return t
+	}
+	var buf [aliasThreshold]float64
+	w := buf[:d.n]
+	d.fillWeights(thief, w)
+	t := sample.MustNewDiscrete(w)
+	d.tables[thief] = t
+	return t
+}
+
 func (d *distanceSkewed) Next(thief int) int {
 	if d.n < 2 {
 		return thief
 	}
-	if d.useAlias {
-		t := d.tables[thief]
-		if t == nil {
-			t = sample.MustNewDiscrete(d.Weights(thief))
-			d.tables[thief] = t
-		}
-		return t.Sample(d.rand[thief])
+	r := &d.rand[thief]
+	if d.tables != nil {
+		return d.table(thief).Sample(r)
 	}
 	// Rejection sampling. All weights are in (0, 1]: distinct nodes are
 	// at distance >= 1 so 1/e^k <= 1 for k >= 0, and same-node pairs
 	// have weight exactly 1. Expected iterations = 1/mean(weight).
-	r := d.rand[thief]
 	for {
 		v := r.Intn(d.n - 1)
 		if v >= thief {
@@ -281,7 +306,7 @@ func (l *lastVictim) Observe(thief, victim int, success bool) {
 type hierarchical struct {
 	job  *topology.Job
 	n    int
-	rand []*rng.Xoshiro256
+	rand []rng.Xoshiro256
 	// tiers[thief] lists the other ranks sorted by hierarchy level:
 	// same node, same blade, same cube, same rack, rest. Built lazily.
 	tiers    [][]int
@@ -386,7 +411,7 @@ func (h *hierarchical) Observe(thief, _ int, success bool) {
 type lifeline struct {
 	job   *topology.Job
 	n     int
-	rand  []*rng.Xoshiro256
+	rand  []rng.Xoshiro256
 	links [][]int
 	// pos cycles through lifeline links after random attempts fail.
 	attempts []int

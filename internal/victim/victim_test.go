@@ -2,8 +2,10 @@ package victim
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"distws/internal/rng"
 	"distws/internal/topology"
 )
 
@@ -193,7 +195,7 @@ func TestDistanceSkewedRejectionMatchesAlias(t *testing.T) {
 	// large enough to trigger it.
 	job := testJob(t, 4096, topology.OnePerNode)
 	s := NewDistanceSkewed(job, 11).(*distanceSkewed)
-	if s.useAlias {
+	if s.tables != nil {
 		t.Fatal("test setup: expected rejection mode at 4096 ranks")
 	}
 	pdf := s.PDF(0)
@@ -373,5 +375,214 @@ func BenchmarkTofuRejectionNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Next(i % 8192)
+	}
+}
+
+// refSelector is the distance-skewed selector as it stood with float64
+// alias tables: weights from Euclid distances, Vose's construction
+// with a float64 acceptance probability per bucket sampled as
+// Float64() < prob, rejection sampling above aliasThreshold, and one
+// separately allocated generator per rank. It exists only as the
+// reference the packed tables must reproduce draw for draw.
+type refSelector struct {
+	job   *topology.Job
+	k     float64
+	rand  []*rng.Xoshiro256
+	prob  [][]float64
+	alias [][]int32
+}
+
+func newRefSelector(job *topology.Job, seed uint64, k float64) *refSelector {
+	n := job.Ranks()
+	r := &refSelector{job: job, k: k, rand: make([]*rng.Xoshiro256, n),
+		prob: make([][]float64, n), alias: make([][]int32, n)}
+	for i := range r.rand {
+		r.rand[i] = rng.New(rng.Mix64(seed) ^ rng.Mix64(uint64(i)+0x51ed270693c5e191))
+	}
+	return r
+}
+
+func (r *refSelector) weight(thief, j int) float64 {
+	e := topology.Euclid(r.job.Coord(thief), r.job.Coord(j))
+	if e == 0 {
+		return 1
+	}
+	return 1 / math.Pow(e, r.k)
+}
+
+// build is Vose's stable two-worklist construction over float64
+// probabilities.
+func (r *refSelector) build(thief int) {
+	n := r.job.Ranks()
+	w := make([]float64, n)
+	var total float64
+	for j := range w {
+		if j != thief {
+			w[j] = r.weight(thief, j)
+		}
+		total += w[j]
+	}
+	prob, alias, scaled := make([]float64, n), make([]int32, n), make([]float64, n)
+	for j := range w {
+		scaled[j] = w[j] / total * float64(n)
+	}
+	var small, large []int32
+	for i := n - 1; i >= 0; i-- {
+		if scaled[i] < 1 {
+			small = append(small, int32(i))
+		} else {
+			large = append(large, int32(i))
+		}
+	}
+	for len(small) > 0 && len(large) > 0 {
+		s, l := small[len(small)-1], large[len(large)-1]
+		small, large = small[:len(small)-1], large[:len(large)-1]
+		prob[s], alias[s] = scaled[s], l
+		scaled[l] = (scaled[l] + scaled[s]) - 1
+		if scaled[l] < 1 {
+			small = append(small, l)
+		} else {
+			large = append(large, l)
+		}
+	}
+	for _, i := range append(small, large...) {
+		prob[i], alias[i] = 1, i
+	}
+	r.prob[thief], r.alias[thief] = prob, alias
+}
+
+func (r *refSelector) Next(thief int) int {
+	n := r.job.Ranks()
+	g := r.rand[thief]
+	if n <= aliasThreshold {
+		if r.prob[thief] == nil {
+			r.build(thief)
+		}
+		i := g.Intn(n)
+		if g.Float64() < r.prob[thief][i] {
+			return i
+		}
+		return int(r.alias[thief][i])
+	}
+	for {
+		v := g.Intn(n - 1)
+		if v >= thief {
+			v++
+		}
+		if g.Float64() < r.weight(thief, v) {
+			return v
+		}
+	}
+}
+
+// TestDistanceSkewedMatchesFloatReference pins the closed-steal
+// selector: at the largest table size, under every placement and
+// three exponents, every thief's first 64 victims equal the float64
+// reference's. The golden runs only 128 ranks.
+func TestDistanceSkewedMatchesFloatReference(t *testing.T) {
+	const draws = 64
+	for _, p := range []topology.Placement{topology.OnePerNode, topology.EightGrouped, topology.EightRoundRobin} {
+		job := testJob(t, aliasThreshold, p)
+		for _, k := range []float64{0, 1, 2} {
+			s := NewDistanceSkewedExp(job, 17, k)
+			ref := newRefSelector(job, 17, k)
+			for thief := 0; thief < job.Ranks(); thief++ {
+				for i := 0; i < draws; i++ {
+					if got, want := s.Next(thief), ref.Next(thief); got != want {
+						t.Fatalf("%v k=%g thief %d draw %d: got %d, reference %d", p, k, thief, i, got, want)
+					}
+				}
+				ref.prob[thief], ref.alias[thief] = nil, nil
+			}
+		}
+	}
+}
+
+// TestDistanceSkewedRejectionMatchesReference pins the table-free path
+// above aliasThreshold the same way, on a sample of thieves.
+func TestDistanceSkewedRejectionMatchesReference(t *testing.T) {
+	job := testJob(t, 2*aliasThreshold, topology.OnePerNode)
+	s := NewDistanceSkewed(job, 3)
+	ref := newRefSelector(job, 3, 1)
+	for thief := 0; thief < job.Ranks(); thief += 61 {
+		for i := 0; i < 64; i++ {
+			if got, want := s.Next(thief), ref.Next(thief); got != want {
+				t.Fatalf("thief %d draw %d: got %d, reference %d", thief, i, got, want)
+			}
+		}
+	}
+}
+
+// TestDistanceSkewedNextAllocFree gates the selector's allocations: a
+// warm Next allocates nothing, and building a thief's table allocates
+// exactly the table.
+func TestDistanceSkewedNextAllocFree(t *testing.T) {
+	job := testJob(t, aliasThreshold, topology.OnePerNode)
+	s := NewDistanceSkewed(job, 1)
+	thief := 0
+	builds := testing.AllocsPerRun(100, func() {
+		s.Next(thief)
+		thief++
+	})
+	if builds != 1 {
+		t.Fatalf("table build allocates %v times, want 1", builds)
+	}
+	next := testing.AllocsPerRun(1000, func() {
+		s.Next(thief % 64)
+		thief++
+	})
+	if next != 0 {
+		t.Fatalf("warm Next allocates %v times, want 0", next)
+	}
+}
+
+// TestDistanceSkewedConcurrentShards drives one selector as the
+// sharded engine does: each shard goroutine calls Next only for its
+// own contiguous range of thieves. The engine itself makes every
+// thief but rank 0 draw first during single-threaded setup, so here
+// the two halves build all their tables at the same time instead.
+// Under `make race` any scratch the builds shared would trip the
+// detector; either way each thief's draws must equal a sequential
+// selector's.
+func TestDistanceSkewedConcurrentShards(t *testing.T) {
+	const n, draws = 512, 8
+	job := testJob(t, n, topology.OnePerNode)
+	s := NewDistanceSkewed(job, 9)
+	got := make([]int, n*draws)
+	var wg sync.WaitGroup
+	for shard := 0; shard < 2; shard++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for thief := lo; thief < hi; thief++ {
+				for i := 0; i < draws; i++ {
+					got[thief*draws+i] = s.Next(thief)
+				}
+			}
+		}(shard*n/2, (shard+1)*n/2)
+	}
+	wg.Wait()
+	seq := NewDistanceSkewed(job, 9)
+	for thief := 0; thief < n; thief++ {
+		for i := 0; i < draws; i++ {
+			if want := seq.Next(thief); got[thief*draws+i] != want {
+				t.Fatalf("thief %d draw %d: concurrent %d, sequential %d", thief, i, got[thief*draws+i], want)
+			}
+		}
+	}
+}
+
+// BenchmarkDistanceSkewedNext measures warm draws on the closed-steal
+// selector: the largest tables, one rank per node.
+func BenchmarkDistanceSkewedNext(b *testing.B) {
+	job := testJob(b, aliasThreshold, topology.OnePerNode)
+	s := NewDistanceSkewed(job, 1)
+	for thief := 0; thief < aliasThreshold; thief++ {
+		s.Next(thief)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Next(i % aliasThreshold)
 	}
 }
